@@ -117,15 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-explain-cache", action="store_true",
         help="disable the EXPLAIN result cache (debugging escape hatch)",
     )
-    generate.add_argument(
-        "--no-vectorized", action="store_true",
-        help="force the row-at-a-time executor instead of the columnar "
-             "batch executor (results are identical either way)",
-    )
-    generate.add_argument(
-        "--vec-batch-size", type=int, default=None, metavar="ROWS",
-        help="rows per batch for the vectorized executor (default 1024)",
-    )
     generate.add_argument("--time-budget", type=float, default=300.0)
     generate.add_argument(
         "--max-tokens", type=int, default=None,
@@ -472,13 +463,7 @@ def cmd_generate(args) -> int:
             row_budget=args.row_budget,
             quarantine_after=args.quarantine_after,
             profile=args.profile,
-            use_vectorized=not args.no_vectorized,
             workload_mix=workload_mix,
-            **(
-                {"vec_batch_size": args.vec_batch_size}
-                if args.vec_batch_size is not None
-                else {}
-            ),
         ),
         sinks=_telemetry_sinks(args.trace_out),
     )

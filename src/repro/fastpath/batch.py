@@ -655,7 +655,6 @@ class PlanReplayer:
             subplans={},
             output_names=self._output_names,
             output_types=self._output_types,
-            use_vectorized=self._planner.use_vectorized,
         )
 
     # -- scans -------------------------------------------------------------------

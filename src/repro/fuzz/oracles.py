@@ -21,10 +21,7 @@ contract agree on a generated statement:
 * :class:`DmlEpochOracle` — committed DML bumps the statistics epoch, so
   a probe SELECT warmed into the EXPLAIN cache before the write re-costs
   after it and matches both the cold pipeline and the table's actual
-  post-mutation row count;
-* :class:`VecVsRowOracle` — the vectorized executor returns exactly the
-  row executor's table (names, SQL types, dtypes, NULL masks, and rows in
-  order, floats compared bit-level) on every vec-eligible plan.
+  post-mutation row count.
 
 ``check`` returns None (pass), :data:`SKIPPED` (oracle not applicable to
 this statement), or a string describing the disagreement.  An engine
@@ -52,7 +49,6 @@ from repro.sqldb.explain import ExplainResult, explain_plan
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.plan_nodes import PlanNode
 from repro.sqldb.sql_render import render_statement
-from repro.sqldb.vec import supports as vec_supports
 from repro.workload.placeholders import infer_placeholder_bindings
 from repro.workload.template import PlaceholderInfo, SqlTemplate
 
@@ -457,73 +453,6 @@ class DmlEpochOracle(Oracle):
         return None
 
 
-class VecVsRowOracle(Oracle):
-    """Row and vectorized execution of the same statement agree exactly.
-
-    The strongest executor oracle: the two implementations share nothing
-    below the plan tree, so any disagreement in rows, order, column
-    metadata, or NULL masks is a real semantic bug in one of them.  Errors
-    are compared by type only — a multi-batch vectorized run may surface a
-    different batch's error first, so messages are not comparable in
-    general (the differential battery pins messages in single-batch mode).
-    """
-
-    name = "vec_vs_row"
-
-    def check(self, ctx, gen):
-        db = ctx.db
-        if not vec_supports(db.plan(gen.sql)):
-            return SKIPPED
-        row = self._outcome(db, gen.sql, vectorized=False)
-        vec = self._outcome(db, gen.sql, vectorized=True)
-        if row == vec:
-            return None
-        if row[0] != vec[0]:
-            return f"row outcome {row[0]!r} vs vec outcome {vec[0]!r}"
-        if row[0] == "error":
-            return f"error type differs: row {row[1]} vs vec {vec[1]}"
-        return self._table_diff(row[1], vec[1])
-
-    @staticmethod
-    def _outcome(db, sql: str, vectorized: bool):
-        was_vectorized = db.use_vectorized
-        batch_size = db.vec_batch_size
-        db.set_vectorized(vectorized)
-        try:
-            table = db.execute(sql).table
-        except SqlError as exc:
-            return ("error", type(exc).__name__)
-        finally:
-            db.set_vectorized(was_vectorized, batch_size=batch_size)
-        return (
-            "ok",
-            (
-                tuple(table.column_names),
-                tuple(c.sql_type for c in table.columns),
-                tuple(str(c.data.dtype) for c in table.columns),
-                tuple(
-                    tuple(
-                        repr(v) if isinstance(v, float) else v for v in row
-                    )
-                    for row in table.rows()
-                ),
-            ),
-        )
-
-    @staticmethod
-    def _table_diff(a, b) -> str:
-        if a[0] != b[0]:
-            return f"column names differ: {a[0]} vs {b[0]}"
-        if a[1] != b[1] or a[2] != b[2]:
-            return f"column types differ: {a[1]}/{a[2]} vs {b[1]}/{b[2]}"
-        if len(a[3]) != len(b[3]):
-            return f"row count differs: row {len(a[3])} vs vec {len(b[3])}"
-        for i, (row_r, vec_r) in enumerate(zip(a[3], b[3])):
-            if row_r != vec_r:
-                return f"row {i} differs: {row_r} vs {vec_r}"
-        return "tables differ"
-
-
 def default_oracles() -> list[Oracle]:
     """The standard oracle set, in execution order."""
     return [
@@ -532,7 +461,6 @@ def default_oracles() -> list[Oracle]:
         CompiledTemplateOracle(),
         ExecutionOracle(),
         DmlEpochOracle(),
-        VecVsRowOracle(),
         ParallelProfilerOracle(),
     ]
 
@@ -548,7 +476,6 @@ __all__ = [
     "DmlEpochOracle",
     "ParallelProfilerOracle",
     "ExecutionOracle",
-    "VecVsRowOracle",
     "default_oracles",
     "templatize",
 ]

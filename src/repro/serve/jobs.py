@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.workload import CostDistribution, TemplateSpec
@@ -80,8 +81,10 @@ class JobRequest:
         if not isinstance(tenant, str) or not tenant:
             raise BadRequest("'tenant' must be a non-empty string")
         priority = payload.get("priority", 4)
-        if not isinstance(priority, int) or not (
-            MIN_PRIORITY <= priority <= MAX_PRIORITY
+        if (
+            isinstance(priority, bool)
+            or not isinstance(priority, int)
+            or not (MIN_PRIORITY <= priority <= MAX_PRIORITY)
         ):
             raise BadRequest(
                 f"'priority' must be an integer in "
@@ -102,19 +105,26 @@ class JobRequest:
                 raise BadRequest(f"'{check}' must be an integer")
         if payload.get("queries", 16) < 1 or payload.get("intervals", 4) < 1:
             raise BadRequest("'queries' and 'intervals' must be >= 1")
+        cost_min = _finite(payload.get("cost_min", 0.0))
+        cost_max = _finite(payload.get("cost_max", 200.0))
+        for name, value in (("cost_min", cost_min), ("cost_max", cost_max)):
+            if value is None:
+                raise BadRequest(f"'{name}' must be a finite number")
         for bound in (
             "deadline_seconds",
             "max_cost_dollars",
             "query_timeout_seconds",
         ):
-            value = payload.get(bound)
-            if value is not None and (
-                not isinstance(value, (int, float)) or value <= 0
-            ):
+            if bound not in payload or payload[bound] is None:
+                continue
+            number = _finite(payload[bound])
+            if number is None or number <= 0:
                 raise BadRequest(f"'{bound}' must be a positive number")
         max_tokens = payload.get("max_tokens")
         if max_tokens is not None and (
-            not isinstance(max_tokens, int) or max_tokens <= 0
+            isinstance(max_tokens, bool)
+            or not isinstance(max_tokens, int)
+            or max_tokens <= 0
         ):
             raise BadRequest("'max_tokens' must be a positive integer")
         # Deliberately NOT validated: cost_min < cost_max.  Distribution
@@ -128,8 +138,8 @@ class JobRequest:
             specs=tuple(dict(s) for s in specs),
             queries=int(payload.get("queries", 16)),
             intervals=int(payload.get("intervals", 4)),
-            cost_min=float(payload.get("cost_min", 0.0)),
-            cost_max=float(payload.get("cost_max", 200.0)),
+            cost_min=cost_min,
+            cost_max=cost_max,
             cost_type=str(payload.get("cost_type", "plan_cost")),
             deadline_seconds=payload.get("deadline_seconds"),
             max_tokens=max_tokens,
@@ -190,6 +200,21 @@ class JobRequest:
             self.intervals,
             cost_type=self.cost_type,
         )
+
+
+def _finite(value) -> float | None:
+    """*value* as a float if it is a finite JSON number, else None.
+
+    Booleans are refused although Python counts them as ints, and so are
+    NaN and the infinities, which the JSON decoder accepts.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return number if math.isfinite(number) else None
 
 
 @dataclass

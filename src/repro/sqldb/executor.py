@@ -10,6 +10,7 @@ the projection can all reference them by AST node identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -270,33 +271,26 @@ class Executor:
     ) -> _Frame:
         left = self._run(node.left, subquery_values)
         right = self._run(node.right, subquery_values)
-        left_codes, left_valid = _join_key_codes(
-            node.left_keys, left, right, subquery_values, prefer=left
+        left_context = left.context(subquery_values)
+        right_context = right.context(subquery_values)
+        left_codes, right_codes = join_key_codes(
+            [evaluate(k, left_context) for k in node.left_keys],
+            [evaluate(k, right_context) for k in node.right_keys],
         )
-        right_codes, right_valid = _join_key_codes(
-            node.right_keys, left, right, subquery_values, prefer=right
-        )
-        # Build hash table on the right side.
         governor = _governor_context.current_governor()
-        table: dict[object, list[int]] = {}
-        for i in np.flatnonzero(right_valid):
-            table.setdefault(right_codes[i], []).append(int(i))
-        left_idx: list[int] = []
-        right_idx: list[int] = []
+        admit = None
+        if governor is not None:
+            # The match count is exact before any pair exists, so a skewed
+            # key that would explode the output quadratically is refused
+            # before it is materialized, as for the nested-loop product.
+            row_bytes = _row_bytes(left) + _row_bytes(right)
+
+            def admit(pairs: int) -> None:
+                governor.admit(pairs, pairs * row_bytes, "HashJoinNode")
+
+        li, ri = match_join_codes(left_codes, right_codes, admit)
         matched_left = np.zeros(left.row_count, dtype=bool)
         matched_right = np.zeros(right.row_count, dtype=bool)
-        for i in np.flatnonzero(left_valid):
-            bucket = table.get(left_codes[i])
-            if bucket:
-                for j in bucket:
-                    left_idx.append(int(i))
-                    right_idx.append(j)
-                # A skewed key can explode the output quadratically; check
-                # the budgets periodically while the match list grows.
-                if governor is not None and len(left_idx) & 0x1FFF == 0:
-                    governor.admit(len(left_idx), 0, "HashJoinNode")
-        li = np.array(left_idx, dtype=np.int64)
-        ri = np.array(right_idx, dtype=np.int64)
         joined = _combine_frames(left.take(li), right.take(ri))
         if node.residual is not None:
             keep = truthy(
@@ -817,32 +811,84 @@ def _row_bytes(frame: _Frame) -> int:
 # -- join helpers -------------------------------------------------------------------
 
 
-def _join_key_codes(
-    keys: list[ast.Expression],
-    left: _Frame,
-    right: _Frame,
-    subquery_values: dict[int, SubqueryValue],
-    prefer: _Frame,
+def join_key_codes(
+    left_keys: list[Vec], right_keys: list[Vec]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate join keys on *prefer* and hash them to comparable tuples."""
-    context = prefer.context(subquery_values)
-    vecs = [evaluate(k, context) for k in keys]
-    valid = np.ones(prefer.row_count, dtype=bool)
-    for vec in vecs:
-        if vec.mask is not None:
-            valid &= ~vec.mask
-    normalized = []
-    for vec in vecs:
-        if vec.sql_type is SqlType.TEXT:
-            normalized.append(np.array([str(v) for v in vec.data], dtype=object))
+    """Factorize equi-join keys jointly over both sides into int64 codes.
+
+    Two rows get the same code exactly when every key pair is equal under
+    the join's equality: numeric keys compare as float64 (so ``-0.0``
+    equals ``0.0`` and INTEGER 1 equals DOUBLE 1.0), TEXT keys compare as
+    ``str``, and TEXT never equals a number.  A row that can match nothing
+    -- a NULL or NaN in any key, or a TEXT/number key pair -- gets ``-1``.
+    """
+    n_left = len(left_keys[0])
+    total = n_left + len(right_keys[0])
+    codes = np.zeros(total, dtype=np.int64)
+    dead = np.zeros(total, dtype=bool)
+    for position, (left, right) in enumerate(zip(left_keys, right_keys)):
+        left_text = left.sql_type is SqlType.TEXT
+        if total == 0 or left_text != (right.sql_type is SqlType.TEXT):
+            dead[:] = True
+            break
+        if left_text:
+            key = _text_codes(np.concatenate([left.data, right.data]))
         else:
-            normalized.append(vec.data.astype(np.float64))
-    if len(normalized) == 1:
-        codes = normalized[0]
-    else:
-        codes = np.array(list(zip(*normalized)), dtype=object)
-        codes = np.array([tuple(row) for row in codes], dtype=object)
-    return codes, valid
+            # np.unique groups by ==, so -0.0 and 0.0 share a code.
+            values = np.concatenate([
+                left.data.astype(np.float64), right.data.astype(np.float64)
+            ])
+            dead |= np.isnan(values)
+            _, key = np.unique(values, return_inverse=True)
+        if left.mask is not None:
+            dead[:n_left] |= left.mask
+        if right.mask is not None:
+            dead[n_left:] |= right.mask
+        if position == 0:
+            codes = key
+        else:
+            # Mixed radix over the codes so far, re-densified so the next
+            # key's product stays far below the int64 range.
+            _, codes = np.unique(
+                codes * (int(key.max()) + 1) + key, return_inverse=True
+            )
+    codes = codes.astype(np.int64)
+    codes[dead] = -1
+    return codes[:n_left], codes[n_left:]
+
+
+def match_join_codes(
+    left_codes: np.ndarray,
+    right_codes: np.ndarray,
+    admit: Callable[[int], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """All ``(left, right)`` row pairs with equal non-negative codes.
+
+    The right side's live rows are sorted by ``(code, row)`` and counted
+    per code; each left row then takes its code's run of right rows, which
+    ``np.repeat`` expands.  Pairs come out ordered by left row, then right
+    row.  *admit* sees the exact pair count before any pair exists.
+    """
+    n_right = max(len(right_codes), 1)
+    right_rows = np.flatnonzero(right_codes >= 0)
+    # Packing the row into the sort key makes every key distinct, so a
+    # plain (unstable, faster) sort still orders equal codes by row.
+    code_order, order = np.divmod(
+        np.sort(right_codes[right_rows] * n_right + right_rows), n_right
+    )
+    size = max(int(left_codes.max(initial=-1)), int(code_order.max(initial=-1))) + 1
+    run_length = np.bincount(code_order, minlength=size)
+    run_start = np.cumsum(run_length) - run_length
+    left_rows = np.flatnonzero(left_codes >= 0)
+    probes = left_codes[left_rows]
+    starts, counts = run_start[probes], run_length[probes]
+    total = int(counts.sum())
+    if admit is not None:
+        admit(total)
+    left_idx = np.repeat(left_rows, counts)
+    block_starts = np.cumsum(counts) - counts
+    right_idx = order[np.arange(total) + np.repeat(starts - block_starts, counts)]
+    return left_idx.astype(np.int64), right_idx.astype(np.int64)
 
 
 def _combine_frames(left: _Frame, right: _Frame) -> _Frame:
@@ -941,11 +987,23 @@ def _null_array(proto: Column, count: int) -> np.ndarray:
 # -- grouping helpers --------------------------------------------------------------
 
 
+def _text_codes(values: np.ndarray) -> np.ndarray:
+    """The ``np.unique(..., return_inverse=True)`` codes of ``str(v)``.
+
+    Hashes first and sorts only the distinct strings, instead of sorting
+    every value with Python comparisons as ``np.unique`` does on objects.
+    """
+    strings = list(map(str, values))
+    rank = {text: code for code, text in enumerate(sorted(set(strings)))}
+    return np.fromiter(
+        map(rank.__getitem__, strings), dtype=np.int64, count=len(strings)
+    )
+
+
 def _factorize(vec: Vec) -> np.ndarray:
     """Dense integer codes for *vec* values; NULL gets its own code."""
     if vec.sql_type is SqlType.TEXT or vec.data.dtype == object:
-        values = np.array([str(v) for v in vec.data], dtype=object)
-        _, codes = np.unique(values, return_inverse=True)
+        codes = _text_codes(vec.data)
     else:
         _, codes = np.unique(vec.data, return_inverse=True)
     codes = codes.astype(np.int64) + 1
@@ -1056,9 +1114,7 @@ def _sort_key(vec: Vec, descending: bool) -> np.ndarray:
     out of mapping NULL to +inf and negating for DESC.
     """
     if vec.sql_type is SqlType.TEXT or vec.data.dtype == object:
-        values = np.array([str(v) for v in vec.data], dtype=object)
-        uniques, codes = np.unique(values, return_inverse=True)
-        key = codes.astype(np.float64)
+        key = _text_codes(vec.data).astype(np.float64)
     else:
         key = vec.data.astype(np.float64)
     if descending:

@@ -263,34 +263,49 @@ def _coerce_pair(left: Vec, right: Vec) -> tuple[np.ndarray, np.ndarray, SqlType
 
 
 def _text_to_days(values: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(values), dtype=np.int64)
-    for i, value in enumerate(values):
+    """ISO date text to epoch days, parsing each distinct string once.
+
+    A literal compared with a DATE column arrives as one string repeated
+    per row.  Distinct strings are parsed in first-seen order, so an
+    invalid one is reported at its first occurrence, as a row scan would.
+    """
+    strings = list(map(str, values))
+    days: dict[str, int] = {}
+    for text in dict.fromkeys(strings):
         try:
-            out[i] = date_to_days(str(value))
+            days[text] = date_to_days(text)
         except ValueError as exc:
+            value = values[strings.index(text)]
             raise ExecutionError(f"invalid date literal: {value!r}") from exc
+    return np.fromiter(
+        map(days.__getitem__, strings), dtype=np.int64, count=len(strings)
+    )
+
+
+_COMPARISONS = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
+
+
+def _as_text(values: np.ndarray) -> np.ndarray:
+    """An object array of ``str(v)`` for every element of *values*."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = list(map(str, values))
     return out
 
 
 def _compare(left: Vec, right: Vec, op: str) -> Vec:
     lv, rv, common = _coerce_pair(left, right)
     if common is SqlType.TEXT:
-        lv = np.array([str(v) for v in lv], dtype=object)
-        rv = np.array([str(v) for v in rv], dtype=object)
-    ops = {
-        "=": lambda a, b: a == b,
-        "<>": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-    }
-    if common is SqlType.TEXT:
-        result = np.array(
-            [bool(ops[op](a, b)) for a, b in zip(lv, rv)], dtype=bool
-        )
-    else:
-        result = ops[op](lv, rv)
+        # One object-array ufunc call: numpy applies Python's str
+        # comparison per element in C, returning a bool array.
+        lv, rv = _as_text(lv), _as_text(rv)
+    result = _COMPARISONS[op](lv, rv)
     mask = _combined_mask(left, right)
     if mask is not None:
         result = result & ~mask

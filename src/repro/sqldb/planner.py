@@ -140,9 +140,6 @@ class Planner:
     def __init__(self, catalog: Catalog):
         self._catalog = catalog
         self._binder = Binder(catalog)
-        # Plans are stamped eligible for the vectorized executor; the
-        # database decides per-plan whether every operator is supported.
-        self.use_vectorized = True
 
     def plan(self, bound: BoundQuery) -> Plan:
         statement = bound.statement
@@ -163,7 +160,6 @@ class Planner:
             subplans=subplans,
             output_names=bound.output_names,
             output_types=bound.output_types,
-            use_vectorized=self.use_vectorized,
         )
 
     def _plan_compound(self, bound: BoundQuery) -> Plan:
@@ -190,7 +186,6 @@ class Planner:
             subplans={},
             output_names=bound.output_names,
             output_types=bound.output_types,
-            use_vectorized=self.use_vectorized,
         )
 
     # -- DML -------------------------------------------------------------------
@@ -239,7 +234,6 @@ class Planner:
             ),
             output_names=bound.output_names,
             output_types=bound.output_types,
-            use_vectorized=False,
         )
 
     def _plan_mutation(self, bound: BoundQuery) -> Plan:
@@ -291,7 +285,6 @@ class Planner:
             subplans=subplans,
             output_names=bound.output_names,
             output_types=bound.output_types,
-            use_vectorized=False,
         )
 
     def _plan_clause_subqueries(

@@ -1,17 +1,15 @@
-"""The governor under the vectorized executor.
+"""The governor under the array-at-a-time executor.
 
-The vec executor charges the governor at *batch boundaries*: one
-``begin_operator`` per operator, one ``charge_frame`` per output batch.
-In single-batch mode (batch size >= table cardinality) the accounting is
-bit-identical to the row executor; in multi-batch mode budgets trip with
-partial-batch accounting — the charge reflects the batches materialized
-so far, never the operator's full output.  Quarantine decisions must not
-depend on the executor or on fan-out.
+The executor materializes each operator's output as one batch of numpy
+columns and charges the governor at those boundaries: one
+``begin_operator`` before the operator runs, one ``charge_frame`` after.
+Its whole-array kernels (hash-join matching, TEXT factorization and
+comparison) must charge exactly what their row-at-a-time references in
+``tests/sqldb/row_reference.py`` charged, and quarantine decisions must
+not depend on fan-out.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import pytest
 
@@ -25,6 +23,8 @@ from repro.sqldb import (
     RowBudgetExceeded,
 )
 from repro.sqldb.errors import QueryCancelled
+
+from tests.sqldb.row_reference import row_at_a_time
 
 SEED = 3
 
@@ -45,27 +45,21 @@ def governed(**limits):
     return QueryGovernor(GovernorLimits(**limits), clock=clock_for("simulated"))
 
 
-@contextlib.contextmanager
-def vectorized(db, enabled, batch_size=None):
-    db.set_vectorized(enabled, batch_size=batch_size)
-    try:
-        yield
-    finally:
-        db.set_vectorized(True, batch_size=1024)
-
-
 class TestSingleBatchAccountingParity:
-    """Batch size >= every table: charges equal the row executor's."""
+    """The array kernels charge exactly what the row-at-a-time ones did."""
 
     @pytest.mark.parametrize(
         "sql", [ORDERS_SCAN, ORDERS_SORTED, GROUPED, JOINED]
     )
     def test_stats_identical_to_row_executor(self, gov_db, sql):
         stats = {}
-        for label, vec in (("row", False), ("vec", True)):
+        for label in ("row", "vec"):
             gov = governed(row_budget=10_000_000, memory_budget_bytes=1 << 30)
-            with vectorized(gov_db, vec, batch_size=4096):
-                with use_governor(gov):
+            with use_governor(gov):
+                if label == "row":
+                    with row_at_a_time():
+                        result = gov_db.execute(sql)
+                else:
                     result = gov_db.execute(sql)
             stats[label] = (result.row_count, gov.stats())
         assert stats["row"] == stats["vec"], sql
@@ -75,62 +69,52 @@ class TestSingleBatchAccountingParity:
         seen = []
         for _ in range(2):
             gov = governed(row_budget=10_000_000)
-            with vectorized(gov_db, True, batch_size=4096):
-                with use_governor(gov):
-                    gov_db.execute(ORDERS_SORTED)
+            with use_governor(gov):
+                gov_db.execute(ORDERS_SORTED)
             seen.append(gov.stats())
         assert seen[0] == seen[1]
 
 
 class TestBatchBoundaryBudgets:
-    """Budgets trip at batch boundaries with partial-batch accounting."""
-
-    def test_row_budget_trips_partway_through_the_scan(self, gov_db):
-        gov = governed(row_budget=100)
-        with vectorized(gov_db, True, batch_size=16):
-            with use_governor(gov):
-                with pytest.raises(RowBudgetExceeded):
-                    gov_db.execute("SELECT * FROM orders")
-        # Partial-batch accounting: only the batches charged before the
-        # trip are on the meter — never the full 600-row scan output.
-        assert 100 < gov.rows_processed < 600
-        # The overshoot is bounded by one batch.
-        assert gov.rows_processed <= 100 + 16
+    """Budgets trip at operator boundaries, before or after each batch."""
 
     def test_same_error_type_as_the_row_executor(self, gov_db):
+        # The join's pre-admission refuses the same pair count, with the
+        # same message, whichever matcher counted the pairs.
         outcomes = {}
-        for label, vec in (("row", False), ("vec", True)):
-            gov = governed(row_budget=100)
-            with vectorized(gov_db, vec, batch_size=16):
-                with use_governor(gov):
-                    with pytest.raises(RowBudgetExceeded) as excinfo:
-                        gov_db.execute("SELECT * FROM orders")
-            outcomes[label] = type(excinfo.value).__name__
+        for label in ("row", "vec"):
+            gov = governed(row_budget=700)
+            with use_governor(gov):
+                with pytest.raises(RowBudgetExceeded) as excinfo:
+                    if label == "row":
+                        with row_at_a_time():
+                            gov_db.execute(JOINED)
+                    else:
+                        gov_db.execute(JOINED)
+            outcomes[label] = (type(excinfo.value).__name__, str(excinfo.value))
         assert outcomes["row"] == outcomes["vec"]
+        assert "would materialize" in outcomes["vec"][1]
 
     def test_memory_budget_trips_in_single_batch_mode(self, gov_db):
-        with vectorized(gov_db, True, batch_size=4096):
-            with use_governor(governed(memory_budget_bytes=1_000)):
-                with pytest.raises(MemoryBudgetExceeded):
-                    gov_db.execute("SELECT * FROM orders")
+        with use_governor(governed(memory_budget_bytes=1_000)):
+            with pytest.raises(MemoryBudgetExceeded):
+                gov_db.execute("SELECT * FROM orders")
 
     def test_charged_deadline_trips_under_vec(self, gov_db):
         gov = governed(query_timeout_seconds=0.01, cost_per_row_seconds=1e-3)
-        with vectorized(gov_db, True, batch_size=64):
-            with use_governor(gov):
-                with pytest.raises(QueryTimeout):
-                    gov_db.execute(ORDERS_SORTED)
+        with use_governor(gov):
+            with pytest.raises(QueryTimeout):
+                gov_db.execute(ORDERS_SORTED)
 
     def test_generous_limits_change_nothing_under_vec(self, gov_db):
-        with vectorized(gov_db, True, batch_size=32):
-            bare = gov_db.execute(ORDERS_SCAN)
-            gov = governed(
-                query_timeout_seconds=300.0,
-                row_budget=10_000_000,
-                memory_budget_bytes=1 << 30,
-            )
-            with use_governor(gov):
-                ruled = gov_db.execute(ORDERS_SCAN)
+        bare = gov_db.execute(ORDERS_SCAN)
+        gov = governed(
+            query_timeout_seconds=300.0,
+            row_budget=10_000_000,
+            memory_budget_bytes=1 << 30,
+        )
+        with use_governor(gov):
+            ruled = gov_db.execute(ORDERS_SCAN)
         assert ruled.row_count == bare.row_count
         assert gov.rows_processed > 0
 
@@ -154,10 +138,9 @@ class TestCooperativeCancel:
     def test_pre_cancelled_governor_refuses_the_query(self, gov_db):
         gov = governed()
         gov.cancel("benched before start")
-        with vectorized(gov_db, True, batch_size=16):
-            with use_governor(gov):
-                with pytest.raises(QueryCancelled, match="benched"):
-                    gov_db.execute("SELECT * FROM orders")
+        with use_governor(gov):
+            with pytest.raises(QueryCancelled, match="benched"):
+                gov_db.execute("SELECT * FROM orders")
 
     def test_cancel_lands_at_the_next_batch_boundary(self, gov_db):
         gov = _CancelAtBatch(
@@ -165,14 +148,12 @@ class TestCooperativeCancel:
             after=3,
             clock=clock_for("simulated"),
         )
-        with vectorized(gov_db, True, batch_size=16):
-            with use_governor(gov):
-                with pytest.raises(QueryCancelled):
-                    gov_db.execute("SELECT * FROM orders")
-        # Cancelled cooperatively: a handful of batches got charged, the
-        # rest of the 600-row scan never did.
-        assert gov.charged_batches >= 3
-        assert gov.rows_processed < 600
+        with use_governor(gov):
+            with pytest.raises(QueryCancelled):
+                gov_db.execute(JOINED + " ORDER BY orders.amount")
+        # Two scans and the join were charged; the cancel raised at the
+        # next operator's boundary, so nothing after the join was charged.
+        assert gov.charged_batches == 3
 
 
 def governed_barber(gov_db, **overrides):
@@ -183,8 +164,6 @@ def governed_barber(gov_db, **overrides):
         governor_cost_per_row_seconds=1e-4,
         governor_clock="simulated",
         quarantine_after=2,
-        use_vectorized=True,
-        vec_batch_size=64,  # multi-batch on every fuzz-db table
     )
     base.update(overrides)
     return SQLBarber(
@@ -202,6 +181,8 @@ def run(barber, planted_templates, rows_distribution):
 
 
 class TestQuarantineUnderVectorization:
+    """Quarantine decisions depend on neither fan-out nor the kernels."""
+
     def test_serial_and_parallel_runs_bit_identical(
         self, gov_db, planted_templates, rows_distribution
     ):
@@ -227,16 +208,14 @@ class TestQuarantineUnderVectorization:
             governed_barber(gov_db),
             planted_templates, rows_distribution,
         )
-        row = run(
-            governed_barber(gov_db, use_vectorized=False),
-            planted_templates, rows_distribution,
-        )
-        # Decisions (who got benched, and why-type) match; the embedded
-        # trip message may not — partial-batch accounting charges fewer
-        # rows before tripping than the row executor's whole-frame charge,
-        # and the message quotes that number.
-        assert [q.template_id for q in vec.quarantined] == [
-            q.template_id for q in row.quarantined
+        with row_at_a_time():
+            row = run(
+                governed_barber(gov_db),
+                planted_templates, rows_distribution,
+            )
+        assert [q.to_dict() for q in vec.quarantined] == [
+            q.to_dict() for q in row.quarantined
         ]
         assert any(q.template_id == "runaway" for q in vec.quarantined)
+        assert vec.fingerprint_json() == row.fingerprint_json()
         assert vec.complete and row.complete

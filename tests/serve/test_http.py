@@ -107,6 +107,52 @@ class TestProtocol:
         assert "rejections" in stats
 
 
+class TestNumericFieldValidation:
+    """Client mistakes in numeric fields get a 400, never a 500 or a 202.
+
+    The client serializes NaN and the infinities as the bare ``NaN`` /
+    ``Infinity`` tokens the server's JSON decoder accepts, so these
+    reach ``JobRequest.from_payload`` exactly as a hand-written body would.
+    """
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cost_min", "abc"),
+            ("cost_max", "abc"),
+            ("cost_min", True),
+            ("cost_max", float("nan")),
+            ("cost_min", float("-inf")),
+            ("cost_max", 10**400),
+            ("deadline_seconds", float("nan")),
+            ("deadline_seconds", float("inf")),
+            ("deadline_seconds", True),
+            ("max_cost_dollars", "1.0"),
+            ("max_cost_dollars", float("inf")),
+            ("query_timeout_seconds", float("nan")),
+            ("query_timeout_seconds", False),
+            ("max_tokens", True),
+            ("priority", True),
+        ],
+        ids=lambda v: repr(v) if not isinstance(v, str) else v,
+    )
+    def test_bad_value_is_400(self, service, field, value):
+        client, background = service
+        status, body, _ = client.submit(job_payload(**{field: value}))
+        assert status == 400, body
+        assert body["error"] == "bad_request"
+        assert field in body["reason"]
+        assert background.server.core.audit_lost_jobs() == []
+
+    def test_finite_numbers_still_accepted(self, service):
+        client, _ = service
+        status, body, _ = client.submit(job_payload(
+            cost_min=0, cost_max=150.5, deadline_seconds=60,
+            max_cost_dollars=2.5, query_timeout_seconds=1.5, priority=5,
+        ))
+        assert status == 202, body
+
+
 class TestBackpressure:
     def test_queue_full_sets_retry_after_header(self, tmp_path):
         background = make_server(tmp_path, max_queue_depth=0)

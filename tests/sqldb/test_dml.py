@@ -172,15 +172,15 @@ class TestBinder:
             mdb.plan("UPDATE people SET age = 1, age = 2")
 
     def test_dml_binds_to_rows_affected_schema(self, mdb):
-        for sql in (
-            "INSERT INTO people (person_id, name) VALUES (9, 'zz')",
-            "UPDATE people SET age = 1",
-            "DELETE FROM people",
+        for sql, node in (
+            ("INSERT INTO people (person_id, name) VALUES (9, 'zz')", "InsertNode"),
+            ("UPDATE people SET age = 1", "UpdateNode"),
+            ("DELETE FROM people", "DeleteNode"),
         ):
             plan = mdb.plan(sql)
             assert plan.output_names == ["rows_affected"]
             assert plan.output_types == [SqlType.BIGINT]
-            assert plan.use_vectorized is False
+            assert type(plan.root).__name__ == node
 
 
 class TestInsert:

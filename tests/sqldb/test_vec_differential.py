@@ -1,16 +1,15 @@
-"""Row-vs-vectorized differential battery (the vec tentpole's proof).
+"""Array-at-a-time vs row-at-a-time differential battery.
 
-Every statement in the fuzz regression corpus plus a >=500-statement
-grammar sweep runs through both executors; any semantic divergence fails.
-The comparison is strict: identical rows *in order*, identical column
-names, SQL types and numpy dtypes, identical NULL masks (``Table.rows``
-yields ``None`` for NULL), and identical telemetry-visible rowcounts
-(per-operator ``rows_out`` from the operator profiler).
-
-Batch-size sensitivity is covered by a sweep over tiny batch sizes: row
-sets must stay identical at any batch size.  Error parity is strict
-(type and message) in single-batch mode; a multi-batch run may surface a
-different batch's error first, so the sweep compares errors by type only.
+The executor evaluates its equi-joins, TEXT factorization and TEXT
+comparisons as whole-array numpy operations.  ``row_reference`` keeps the
+row-at-a-time Python versions they replaced; every statement in the fuzz
+regression corpus plus a 500-statement grammar sweep runs both ways, and
+any divergence fails.  The comparison is strict: identical rows *in
+order*, identical column names, SQL types and numpy dtypes, identical NULL
+masks (``Table.rows`` yields ``None`` for NULL), identical errors (type
+and message), and identical per-operator ``rows_out`` from the operator
+profiler.  ``tests/golden`` pins the same statements' results to fixed
+digests; this battery also covers statements the pins never saw.
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ import pytest
 
 from repro.fuzz import SELECT_SHAPES, FuzzGrammar, build_fuzz_database
 from repro.sqldb.errors import SqlError
-from repro.sqldb.plan_nodes import HashJoinNode
-from repro.sqldb.vec import supports as vec_supports
+from repro.sqldb.plan_nodes import AggregateNode, HashJoinNode
+
+from .row_reference import row_at_a_time
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "fuzz" / "corpus"
 GRAMMAR_SWEEP = 500
-SMALL_BATCH_SIZES = (1, 3, 7)
-SMALL_BATCH_STATEMENTS = 60
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +36,9 @@ def db():
 
 @pytest.fixture(scope="module")
 def sweep(db):
-    # Read-only shapes: this battery compares the two *read* executors, and
-    # a DML statement would mutate the shared fixture database mid-sweep.
-    # The write path has its own differential net (test_dml_differential).
+    # Read-only shapes: a DML statement would mutate the shared fixture
+    # database mid-sweep.  The write path has its own differential net
+    # (test_dml_differential).
     return FuzzGrammar(db.catalog, seed=23).statements(
         GRAMMAR_SWEEP, shapes=SELECT_SHAPES
     )
@@ -56,15 +54,12 @@ def corpus_sqls() -> list[str]:
     return sqls
 
 
-def run_one(db, sql, vectorized, batch_size=1024):
-    """Execute *sql* under one executor; outcome is comparable data."""
-    db.set_vectorized(vectorized, batch_size=batch_size)
+def run_one(db, sql):
+    """Execute *sql*; the outcome is comparable data."""
     try:
         table = db.execute(sql).table
     except SqlError as exc:
         return ("error", type(exc).__name__, str(exc))
-    finally:
-        db.set_vectorized(True, batch_size=1024)
     return ("ok", fingerprint(table))
 
 
@@ -85,16 +80,10 @@ def fingerprint(table):
     )
 
 
-def assert_equivalent(db, sql, batch_size=1024, strict_errors=True):
-    row = run_one(db, sql, vectorized=False)
-    vec = run_one(db, sql, vectorized=True, batch_size=batch_size)
-    if row[0] == "error" or vec[0] == "error":
-        assert row[0] == vec[0] == "error", (sql, row[0], vec[0])
-        if strict_errors:
-            assert row[1:] == vec[1:], sql
-        else:
-            assert row[1] == vec[1], sql  # same error type, any batch
-        return
+def assert_equivalent(db, sql, calls=None):
+    with row_at_a_time(calls):
+        row = run_one(db, sql)
+    vec = run_one(db, sql)
     assert row == vec, sql
 
 
@@ -125,36 +114,25 @@ class TestGrammarSweep:
         )
 
     def test_sweep_actually_exercises_the_vec_path(self, db, sweep):
-        # The gate matters only if a healthy share of generated plans is
-        # actually eligible for the vectorized executor.
-        eligible = sum(1 for gen in sweep if vec_supports(db.plan(gen.sql)))
-        assert eligible >= len(sweep) // 4, f"only {eligible} eligible plans"
+        # The gate matters only if the sweep actually reaches every kernel
+        # the references replace, and often.
+        calls: dict[str, int] = {}
+        for gen in sweep[:200]:
+            with row_at_a_time(calls):
+                run_one(db, gen.sql)
+        assert calls.get("join", 0) >= 20, calls
+        assert calls.get("text_codes", 0) >= 20, calls
+        assert calls.get("compare", 0) >= 50, calls
 
     def test_sweep_covers_joins_and_aggregates(self, db, sweep):
-        def has_join(node):
-            if isinstance(node, HashJoinNode):
+        def has(node, kind):
+            if isinstance(node, kind):
                 return True
-            return any(has_join(c) for c in node.children())
+            return any(has(c, kind) for c in node.children())
 
-        joined = sum(
-            1
-            for gen in sweep[:120]
-            if vec_supports(plan := db.plan(gen.sql)) and has_join(plan.root)
-        )
-        assert joined > 0, "no vectorizable join in the sweep prefix"
-
-
-class TestBatchSizeSweep:
-    @pytest.mark.parametrize("batch_size", SMALL_BATCH_SIZES)
-    def test_tiny_batches_preserve_results(self, db, sweep, batch_size):
-        for gen in sweep[:SMALL_BATCH_STATEMENTS]:
-            assert_equivalent(
-                db, gen.sql, batch_size=batch_size, strict_errors=False
-            )
-
-    def test_batch_size_one_on_corpus(self, db):
-        for sql in corpus_sqls():
-            assert_equivalent(db, sql, batch_size=1, strict_errors=False)
+        plans = [db.plan(gen.sql) for gen in sweep[:120]]
+        assert any(has(plan.root, HashJoinNode) for plan in plans)
+        assert any(has(plan.root, AggregateNode) for plan in plans)
 
 
 class TestTelemetryRowcounts:
@@ -178,24 +156,7 @@ class TestTelemetryRowcounts:
 
     @pytest.mark.parametrize("sql", CASES)
     def test_profiled_rowcounts_match(self, db, sql):
-        db.set_vectorized(False)
-        try:
+        with row_at_a_time():
             _, row_profile = db.execute_profiled(sql)
-        finally:
-            db.set_vectorized(True, batch_size=1024)
         _, vec_profile = db.execute_profiled(sql)
         assert self.rows_tree(vec_profile) == self.rows_tree(row_profile), sql
-
-    def test_vec_records_multiple_batches(self, db, sql=CASES[0]):
-        db.set_vectorized(True, batch_size=16)
-        try:
-            _, profile = db.execute_profiled(sql)
-        finally:
-            db.set_vectorized(True, batch_size=1024)
-
-        def max_batches(p):
-            return max([p.batches] + [max_batches(c) for c in p.children])
-
-        # users has 120 rows: a 16-row batch size must show > 1 batch on
-        # at least one operator, proving the profiler counts real batches.
-        assert max_batches(profile) > 1

@@ -1,31 +1,33 @@
-"""Kleene 3VL laws for the *vectorized* expression evaluator.
+"""Kleene 3VL laws for the array-at-a-time expression evaluator.
 
-Mirror of ``test_null_logic_properties.py``: the same machine-checkable
+Companion to ``test_null_logic_properties.py``: the same machine-checkable
 laws (partition, double negation, De Morgan, predicate-tightening
-monotonicity), but asserted against the vectorized executor and — where
-the law is about the evaluator itself — directly against the batch 3VL
-kernels (:func:`logical_and` / :func:`logical_or` / :func:`negate_bool` /
-:func:`truthy`).  Both evaluators must satisfy the same laws; the
-differential battery then pins them equal statement-by-statement.
+monotonicity) over a second seeded predicate stream, plus Kleene's truth
+tables asserted directly against the evaluator's whole-array 3VL kernels
+(``_logical_and`` / ``_logical_or`` / ``_negate_bool`` / ``truthy`` in
+:mod:`repro.sqldb.expr_eval`).  The row-at-a-time references of
+``row_reference`` must give the same counts on every law input.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.fuzz import FuzzGrammar
-from repro.sqldb.sql_render import render_expression
-from repro.sqldb.types import SqlType
-from repro.sqldb.vec import (
-    VecColumn,
-    logical_and,
-    logical_or,
-    negate_bool,
+from repro.sqldb.expr_eval import (
+    Vec,
+    _logical_and as logical_and,
+    _logical_or as logical_or,
+    _negate_bool as negate_bool,
     truthy,
 )
-from repro.sqldb.vec.batch import KIND_BOOL
+from repro.sqldb.sql_render import render_expression
+from repro.sqldb.types import SqlType
+
+from .row_reference import row_at_a_time
 
 N_USERS = 200  # conftest demo db; city is NULL every 17th row
 
@@ -39,19 +41,18 @@ def tv(cell: tuple) -> str:
     return "U" if null else ("T" if value else "F")
 
 
-def bool_column(cells: list[tuple]) -> VecColumn:
-    mask = [null for _, null in cells]
-    return VecColumn(
-        [value for value, _ in cells],
-        mask if any(mask) else None,
+def bool_column(cells: list[tuple]) -> Vec:
+    mask = np.array([null for _, null in cells], dtype=bool)
+    return Vec(
+        np.array([value for value, _ in cells], dtype=bool),
+        mask if mask.any() else None,
         SqlType.BOOLEAN,
-        KIND_BOOL,
     )
 
 
-def read_back(column: VecColumn) -> list[str]:
+def read_back(column: Vec) -> list[str]:
     mask = column.mask if column.mask is not None else [False] * len(column)
-    return [tv((bool(v), bool(m))) for v, m in zip(column.values, mask)]
+    return [tv((bool(v), bool(m))) for v, m in zip(column.data, mask)]
 
 
 class TestKernelTruthTables:
@@ -94,7 +95,9 @@ class TestKernelTruthTables:
         assert got == ["F", "T", "U"]
 
     def test_truthy_drops_false_and_unknown(self):
-        assert truthy(bool_column([T, F, U, T])) == [True, False, False, True]
+        assert truthy(bool_column([T, F, U, T])).tolist() == [
+            True, False, False, True,
+        ]
 
     def test_de_morgan_at_the_kernel_level(self):
         cells = [(a, b) for a in self.OPERANDS for b in self.OPERANDS]
@@ -108,20 +111,15 @@ class TestKernelTruthTables:
         assert read_back(lhs) == read_back(rhs)
 
     def test_masks_collapse_to_none_when_no_unknowns(self):
-        # Mask-presence parity with the row evaluator: an all-valid result
-        # must drop its mask entirely (the differential battery compares
-        # null masks through Table.rows).
+        # An all-valid result drops its mask entirely, so result tables
+        # carry a null mask only when some value is NULL.
         out = logical_and(bool_column([T, F]), bool_column([F, T]))
         assert out.mask is None
 
 
-def _count(db, predicate_sql: str, vectorized: bool) -> int:
+def _count(db, predicate_sql: str) -> int:
     sql = f"SELECT count(*) AS n FROM users AS t0 WHERE {predicate_sql}"
-    db.set_vectorized(vectorized)
-    try:
-        table = db.execute(sql).table
-    finally:
-        db.set_vectorized(True)
+    table = db.execute(sql).table
     return int(table.columns[0].data[0])
 
 
@@ -137,42 +135,42 @@ def _predicates(db, count: int = 20) -> list[str]:
 
 
 class TestVectorizedStatementLaws:
-    """The SQL-level laws, executed through the vectorized path."""
+    """The SQL-level laws, executed end to end through the executor."""
 
     def test_partition_law(self, db):
         for pred in _predicates(db):
-            true_n = _count(db, f"({pred})", vectorized=True)
-            false_n = _count(db, f"NOT ({pred})", vectorized=True)
-            unknown_n = _count(db, f"({pred}) IS NULL", vectorized=True)
+            true_n = _count(db, f"({pred})")
+            false_n = _count(db, f"NOT ({pred})")
+            unknown_n = _count(db, f"({pred}) IS NULL")
             assert true_n + false_n + unknown_n == N_USERS, pred
 
     def test_double_negation(self, db):
         for pred in _predicates(db, count=12):
-            assert _count(db, f"({pred})", True) == _count(
-                db, f"NOT (NOT ({pred}))", True
+            assert _count(db, f"({pred})") == _count(
+                db, f"NOT (NOT ({pred}))"
             ), pred
 
     def test_de_morgan(self, db):
         preds = _predicates(db, count=12)
         for p, q in zip(preds[::2], preds[1::2]):
-            assert _count(db, f"NOT (({p}) AND ({q}))", True) == _count(
-                db, f"(NOT ({p})) OR (NOT ({q}))", True
+            assert _count(db, f"NOT (({p}) AND ({q}))") == _count(
+                db, f"(NOT ({p})) OR (NOT ({q}))"
             ), (p, q)
 
     def test_predicate_tightening_is_monotone(self, db):
         # ANDing any conjunct can only shrink the row set — the law the
         # profiling loop's cost model leans on.
         for p, q in zip(_predicates(db, 8), _predicates(db, 16)[8:]):
-            assert _count(db, f"({p}) AND ({q})", True) <= _count(
-                db, f"({p})", True
+            assert _count(db, f"({p}) AND ({q})") <= _count(
+                db, f"({p})"
             ), (p, q)
 
     def test_row_and_vec_agree_on_every_law_input(self, db):
         for pred in _predicates(db):
             for spelled in (f"({pred})", f"NOT ({pred})", f"({pred}) IS NULL"):
-                assert _count(db, spelled, True) == _count(
-                    db, spelled, False
-                ), spelled
+                with row_at_a_time():
+                    row = _count(db, spelled)
+                assert _count(db, spelled) == row, spelled
 
     @pytest.mark.parametrize(
         "expr, expected",
@@ -184,4 +182,4 @@ class TestVectorizedStatementLaws:
         ],
     )
     def test_pinned_truth_table_rows(self, db, expr, expected):
-        assert _count(db, expr, vectorized=True) == expected, expr
+        assert _count(db, expr) == expected, expr
