@@ -20,7 +20,7 @@ from repro.sqldb import Database, RowBudgetExceeded, SqlType, Table
 from repro.sqldb.executor import join_key_codes, match_join_codes
 from repro.sqldb.expr_eval import Vec
 
-from .row_reference import reference_join_keys, reference_match
+from .row_reference import reference_join_keys, reference_match, row_at_a_time
 
 CASES = 300
 
@@ -172,8 +172,6 @@ class TestJoinTypesThroughExecute:
 
     @pytest.mark.parametrize("join_type", ["INNER", "LEFT", "RIGHT", "FULL"])
     def test_join_type_matches_reference(self, join_db, join_type):
-        from .row_reference import row_at_a_time
-
         with row_at_a_time():
             expected = join_rows(join_db, join_type, self.ON)
         assert join_rows(join_db, join_type, self.ON) == expected
@@ -207,9 +205,7 @@ class TestPreAdmission:
             expanded.append(args)
             return original(*args, **kwargs)
 
-        import repro.sqldb.executor as executor
-
-        monkeypatch.setattr(executor.np, "repeat", watching_repeat)
+        monkeypatch.setattr(np, "repeat", watching_repeat)
         gov = QueryGovernor(
             GovernorLimits(row_budget=10_000), clock=clock_for("simulated")
         )

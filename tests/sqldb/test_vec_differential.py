@@ -17,13 +17,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.fuzz import SELECT_SHAPES, FuzzGrammar, build_fuzz_database
-from repro.sqldb.errors import SqlError
+from repro.sqldb.errors import ExecutionError, SqlError
+from repro.sqldb.executor import _text_codes
+from repro.sqldb.expr_eval import Vec, _compare, _text_to_days
 from repro.sqldb.plan_nodes import AggregateNode, HashJoinNode
+from repro.sqldb.types import SqlType
 
-from .row_reference import row_at_a_time
+from .row_reference import reference_compare, reference_text_codes, row_at_a_time
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "fuzz" / "corpus"
 GRAMMAR_SWEEP = 500
@@ -160,3 +164,49 @@ class TestTelemetryRowcounts:
             _, row_profile = db.execute_profiled(sql)
         _, vec_profile = db.execute_profiled(sql)
         assert self.rows_tree(vec_profile) == self.rows_tree(row_profile), sql
+
+
+class TestTextKernels:
+    """The TEXT kernels against their references on random strings."""
+
+    POOL = np.array(["", "a", "B", "b", "ab", "é", "1", "10", "9", "None"], dtype=object)
+
+    def random_text(self, rng, n):
+        data = np.asarray(rng.choice(self.POOL, size=n), dtype=object)
+        mask = rng.random(n) < 0.2 if rng.random() < 0.5 else None
+        if mask is not None:
+            data[mask] = None  # how storage holds a NULL TEXT value
+        return Vec(data, mask, SqlType.TEXT)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_text_codes_equal_np_unique_codes(self, seed):
+        rng = np.random.default_rng(seed)
+        values = self.random_text(rng, int(rng.integers(0, 50))).data
+        assert _text_codes(values).tolist() == reference_text_codes(values).tolist()
+
+    @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
+    def test_compare_equals_per_element_reference(self, op):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(0, 30))
+            left, right = self.random_text(rng, n), self.random_text(rng, n)
+            got, want = _compare(left, right, op), reference_compare(left, right, op)
+            assert got.data.tolist() == want.data.tolist()
+            assert (got.mask is None) == (want.mask is None)
+
+    def test_text_to_days_parses_every_row(self):
+        values = np.array(["1970-01-02", "1970-01-01", "1970-01-02"], dtype=object)
+        days = _text_to_days(values)
+        assert days.tolist() == [1, 0, 1]
+        assert days.dtype == np.int64
+
+    def test_text_to_days_reports_the_first_bad_row(self):
+        values = np.array(["1970-01-01", "bad-b", "1970-01-01", "bad-a"], dtype=object)
+        with pytest.raises(ExecutionError, match="invalid date literal: 'bad-b'"):
+            _text_to_days(values)
+
+    def test_bad_date_literal_through_execute(self, db):
+        with pytest.raises(ExecutionError, match="invalid date literal: 'not-a-date'"):
+            db.execute(
+                "SELECT t0.order_id FROM orders AS t0 WHERE t0.order_date = 'not-a-date'"
+            )
