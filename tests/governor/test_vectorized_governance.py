@@ -6,7 +6,8 @@ columns and charges the governor at those boundaries: one
 Its whole-array kernels (hash-join matching, TEXT factorization and
 comparison) must charge exactly what their row-at-a-time references in
 ``tests/sqldb/row_reference.py`` charged, and quarantine decisions must
-not depend on fan-out.
+not depend on fan-out.  Below, "row" labels a run on those references and
+"vec" a run on the array kernels.
 """
 
 from __future__ import annotations

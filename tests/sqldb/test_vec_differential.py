@@ -9,7 +9,9 @@ order*, identical column names, SQL types and numpy dtypes, identical NULL
 masks (``Table.rows`` yields ``None`` for NULL), identical errors (type
 and message), and identical per-operator ``rows_out`` from the operator
 profiler.  ``tests/golden`` pins the same statements' results to fixed
-digests; this battery also covers statements the pins never saw.
+digests; this battery also covers statements the pins never saw.  In the
+test names, "row" is the row-at-a-time references and "vec" the array
+kernels.
 """
 
 from __future__ import annotations
